@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|fig4|fig5|table2|fig6|fig7|wlopt|ablation|suite|all (suite runs only when named)")
+		exp     = flag.String("exp", "all", "experiment: table1|fig4|fig5|table2|fig6|fig7|wlopt|ablation|all")
 		samples = flag.Int("samples", 1<<20, "Monte-Carlo sample count (paper: 1e6-1e7)")
 		seed    = flag.Int64("seed", 1, "simulation seed")
 		npsd    = flag.Int("npsd", 1024, "PSD bins for the proposed method")
@@ -35,7 +35,7 @@ func main() {
 	// Reject unknown experiment names before doing any work, so a typo
 	// exits non-zero with usage instead of silently running nothing.
 	switch *exp {
-	case "all", "table1", "fig4", "fig5", "table2", "fig6", "fig7", "wlopt", "ablation", "suite":
+	case "all", "table1", "fig4", "fig5", "table2", "fig6", "fig7", "wlopt", "ablation":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		flag.Usage()
@@ -134,21 +134,6 @@ func main() {
 				return err
 			}
 			r.Render(os.Stdout)
-			return nil
-		})
-	}
-	// The strategy-suite sweep is beyond the paper's evaluation section, so
-	// it runs only when named explicitly, not under -exp all.
-	if *exp == "suite" {
-		run("suite", func() error {
-			r, err := experiments.Suite(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(os.Stdout)
-			if n := r.Failures(); n > 0 {
-				return fmt.Errorf("%d/%d cells failed", n, len(r.Cells))
-			}
 			return nil
 		})
 	}

@@ -51,7 +51,12 @@ func main() {
 		fmt.Printf("  %-10s %2d fractional bits\n", n, res.Fracs[n])
 	}
 
-	// Validate the assignment with one Monte-Carlo run.
+	// Validate the assignment with one Monte-Carlo run. The optimizer only
+	// reads the graph, so write the chosen widths into it first.
+	for _, id := range g.NoiseSources() {
+		n := g.Node(id)
+		n.Noise.Frac = res.Fracs[n.Noise.Name]
+	}
 	sim, err := fxsim.Run(g, fxsim.Config{Samples: 1 << 20, Seed: 5})
 	if err != nil {
 		log.Fatal(err)

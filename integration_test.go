@@ -66,7 +66,12 @@ func TestEndToEndDesignFlow(t *testing.T) {
 	}
 
 	// 4. Confirm by simulation: the analytical budget holds within the
-	// paper's sub-one-bit margin.
+	// paper's sub-one-bit margin. The optimizer only reads the graph, so
+	// the chosen widths are written into it first.
+	for _, id := range g.NoiseSources() {
+		n := g.Node(id)
+		n.Noise.Frac = res.Fracs[n.Noise.Name]
+	}
 	sim, err := fxsim.Run(g, fxsim.Config{Samples: 1 << 18, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -521,13 +521,11 @@ func (m *ServerMetrics) bindStats(stats func() service.Stats) {
 			name, help string
 			get        func(service.Stats) float64
 		}{
-			{"wlopt_queue_depth", "Jobs waiting for a worker.", func(s service.Stats) float64 { return float64(s.QueueLen) }},
-			{"wlopt_queue_capacity", "Pending-queue bound.", func(s service.Stats) float64 { return float64(s.QueueCap) }},
-			// queue_len/queue_cap alias depth/capacity under the names the
-			// /healthz census and the router's occupancy logic use, so a
-			// dashboard joining scrape to probe never translates names.
-			{"wlopt_queue_len", "Jobs waiting for a worker (alias of wlopt_queue_depth, named as in the /healthz census).", func(s service.Stats) float64 { return float64(s.QueueLen) }},
-			{"wlopt_queue_cap", "Pending-queue bound (alias of wlopt_queue_capacity, named as in the /healthz census).", func(s service.Stats) float64 { return float64(s.QueueCap) }},
+			// Named as in the /healthz census the router's occupancy logic
+			// reads, so a dashboard joining scrape to probe never
+			// translates names.
+			{"wlopt_queue_len", "Jobs waiting for a worker.", func(s service.Stats) float64 { return float64(s.QueueLen) }},
+			{"wlopt_queue_cap", "Pending-queue bound.", func(s service.Stats) float64 { return float64(s.QueueCap) }},
 			{"wlopt_retry_after_seconds", "Drain-rate estimate of seconds until the pending queue has room.", func(s service.Stats) float64 { return float64(s.RetryAfterS) }},
 			{"wlopt_jobs_running", "Jobs currently executing.", func(s service.Stats) float64 { return float64(s.Running) }},
 			{"wlopt_watchers", "Live event subscribers.", func(s service.Stats) float64 { return float64(s.Watchers) }},

@@ -334,9 +334,7 @@ func TestMetricsExposition(t *testing.T) {
 		`wlopt_job_duration_seconds_count{outcome="done"} 2`,
 		"wlopt_cache_hits_total 1",
 		"wlopt_plan_builds_total 1",
-		"wlopt_queue_depth 0",
-		"wlopt_queue_capacity 256",
-		// The /healthz-named occupancy aliases and the drain-rate hint the
+		// The /healthz-named occupancy gauges and the drain-rate hint the
 		// router's spill/Retry-After logic scrapes.
 		"wlopt_queue_len 0",
 		"wlopt_queue_cap 256",

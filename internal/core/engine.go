@@ -45,23 +45,6 @@ func (a Assignment) Clone() Assignment {
 	return out
 }
 
-// Apply writes the widths into g's noise sources. Sources not present in
-// the assignment keep their current width.
-func (a Assignment) Apply(g *sfg.Graph) {
-	for id, f := range a {
-		g.Node(id).Noise.Frac = f
-	}
-}
-
-// BatchEvaluator is implemented by evaluators that can score many width
-// assignments against one graph, potentially concurrently. Results are
-// returned in assignment order and are identical to evaluating each
-// assignment sequentially.
-type BatchEvaluator interface {
-	Evaluator
-	EvaluateBatch(g *sfg.Graph, as []Assignment) ([]*Result, error)
-}
-
 // Move is a single-source width change against a base assignment — the
 // unit of work of every greedy word-length search step.
 type Move struct {
@@ -69,27 +52,6 @@ type Move struct {
 	Source sfg.NodeID
 	// Frac is the new fractional width.
 	Frac int
-}
-
-// MoveEvaluator is implemented by evaluators with an incremental path for
-// single-source width changes. EvaluateMoves scores each move applied to
-// base independently (moves do not compound), returning results in move
-// order whose PSDs, means and per-source rows are bit-identical to
-// EvaluateBatch on the equivalently moved assignments (powers agree within
-// 1e-12 relative; see transfer.go for the per-tier contract).
-type MoveEvaluator interface {
-	BatchEvaluator
-	EvaluateMoves(g *sfg.Graph, base Assignment, moves []Move) ([]*Result, error)
-}
-
-// MovePowerEvaluator is implemented by move evaluators with a scalar fast
-// path: PowerMoves returns only the output powers of the moved
-// assignments — bit-identical to the Power fields EvaluateMoves reports,
-// without materializing Results. This is the greedy search's hot call:
-// every strategy consumes only the scalar power of a candidate move.
-type MovePowerEvaluator interface {
-	MoveEvaluator
-	PowerMoves(g *sfg.Graph, base Assignment, moves []Move) ([]float64, error)
 }
 
 // Engine is the throughput-oriented form of the proposed PSD method: a
@@ -391,10 +353,9 @@ func (e *Engine) EvaluateAssignment(g *sfg.Graph, a Assignment) (*Result, error)
 	return p.evaluate(a)
 }
 
-// EvaluateBatch implements BatchEvaluator: it scores every assignment,
-// fanning the independent evaluations across the worker pool, and returns
-// results in assignment order. The outcome is deterministic and identical
-// for any pool width.
+// EvaluateBatch scores every assignment, fanning the independent
+// evaluations across the worker pool, and returns results in assignment
+// order. The outcome is deterministic and identical for any pool width.
 func (e *Engine) EvaluateBatch(g *sfg.Graph, as []Assignment) ([]*Result, error) {
 	if len(as) == 0 {
 		return nil, nil
@@ -406,9 +367,8 @@ func (e *Engine) EvaluateBatch(g *sfg.Graph, as []Assignment) ([]*Result, error)
 	return p.evaluateAll(as, e.workers)
 }
 
-// EvaluateMoves implements MoveEvaluator: it scores every single-source
-// width change applied (independently) to base, returning results in move
-// order. PSD bins, means and per-source rows are bit-identical to
+// EvaluateMoves scores every single-source width change applied
+// (independently) to base, returning results in move order. PSD bins, means and per-source rows are bit-identical to
 // EvaluateBatch on the equivalently moved assignments; Power and Variance
 // are the scalar tier's, bit-identical to PowerMoves. On transfer-cached
 // plans each move costs O(npsd log S) — one leaf of the contribution tree
@@ -426,12 +386,12 @@ func (e *Engine) EvaluateMoves(g *sfg.Graph, base Assignment, moves []Move) ([]*
 	return p.evaluateMoves(base, moves, e.workers)
 }
 
-// PowerMoves implements MovePowerEvaluator: it scores every single-source
-// width change applied (independently) to base and returns only the
-// output powers, in move order — on transfer-cached plans O(1) per move
-// (one σ²-table lookup plus an O(log S) scalar leaf swap, no per-bin
-// traffic and no Result materialization), bit-identical to the Power
-// fields EvaluateMoves reports. This is the word-length optimizer's
+// PowerMoves scores every single-source width change applied
+// (independently) to base and returns only the output powers, in move
+// order — on transfer-cached plans O(1) per move (one σ²-table lookup
+// plus an O(log S) scalar leaf swap, no per-bin traffic and no Result
+// materialization), bit-identical to the Power fields EvaluateMoves
+// reports. This is the word-length optimizer's
 // per-step hot call. Plans on the full-propagation fallback materialize
 // the moves like EvaluateMoves and extract the powers.
 func (e *Engine) PowerMoves(g *sfg.Graph, base Assignment, moves []Move) ([]float64, error) {

@@ -138,9 +138,9 @@ func TestEvaluateAssignmentMatchesMutatedGraph(t *testing.T) {
 		}
 		// Mutate, evaluate directly through the one-shot reference,
 		// restore; the cached engine agrees within the 1e-12 contract.
-		alt.Apply(g)
+		setWidths(g, alt)
 		want, err := NewPSDEvaluator(128).Evaluate(g)
-		base.Apply(g)
+		setWidths(g, base)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -151,6 +151,13 @@ func TestEvaluateAssignmentMatchesMutatedGraph(t *testing.T) {
 				t.Fatalf("%s: graph width mutated by assignment evaluation", name)
 			}
 		}
+	}
+}
+
+// setWidths writes a's widths into g's noise sources.
+func setWidths(g *sfg.Graph, a Assignment) {
+	for id, f := range a {
+		g.Node(id).Noise.Frac = f
 	}
 }
 

@@ -236,15 +236,14 @@ type cachedResult struct {
 	budget float64
 }
 
-// graphEntry serializes use of one cached graph: the optimizer mutates
-// source widths in place, so two jobs on the same digest take turns while
-// jobs on different digests run concurrently.
+// graphEntry is one cached graph. Searches only read it, so any number of
+// jobs on the same digest run on it concurrently.
 type graphEntry struct {
-	mu sync.Mutex
-	g  *sfg.Graph
-	// persisted marks the digest's plan snapshot as already on disk
-	// (written by us, or restored from a previous process); guarded by mu.
-	persisted bool
+	g *sfg.Graph
+	// persisted marks the digest's plan snapshot as on disk (restored
+	// from a previous process) or claimed for writing by one job; a
+	// failed write releases the claim.
+	persisted atomic.Bool
 }
 
 // Manager is the service core. Create with New, dispose with Close.
@@ -724,10 +723,6 @@ func (m *Manager) run(j *job) {
 		j.finish(nil, err)
 		return
 	}
-	// One job per graph at a time: the optimizer mutates source widths in
-	// place. Jobs on different digests proceed concurrently.
-	entry.mu.Lock()
-	defer entry.mu.Unlock()
 	g := entry.g
 
 	// Force the plan build here (instead of lazily inside the first
@@ -800,8 +795,7 @@ func (m *Manager) run(j *job) {
 		m.results.put(j.key, &cachedResult{res: res, budget: budget})
 		m.mu.Unlock()
 		// Write-through: the persistent tiers are repaired/filled on every
-		// completed job. entry.mu is still held, so the persisted flag and
-		// the engine plan for g are stable.
+		// completed job.
 		psp := tr.StartSpan("persist", j.span)
 		m.storePutResult(j.key, res, budget)
 		m.persistPlan(j.digest, entry)
@@ -924,22 +918,25 @@ func (m *Manager) storePutResult(key string, res *wlopt.Result, budget float64) 
 }
 
 // persistPlan snapshots the digest's warm engine plan to the store, once
-// per graphEntry lifetime. The caller must hold entry.mu.
+// per graphEntry lifetime: concurrent same-digest jobs race for the
+// persisted claim, and only a failed write gives it back for a later job
+// to retry.
 func (m *Manager) persistPlan(digest string, entry *graphEntry) {
-	if m.cfg.Store == nil || entry.persisted || m.halted.Load() {
+	if m.cfg.Store == nil || m.halted.Load() || !entry.persisted.CompareAndSwap(false, true) {
 		return
 	}
 	snap, err := m.eng.SnapshotPlan(entry.g)
 	if err != nil {
-		if errors.Is(err, core.ErrPlanNotCached) {
-			// Full-propagation plans have no width-independent warm state;
-			// nothing will ever be snapshottable for this entry.
-			entry.persisted = true
+		// Full-propagation plans have no width-independent warm state;
+		// nothing will ever be snapshottable for this entry, so only
+		// other errors release the claim.
+		if !errors.Is(err, core.ErrPlanNotCached) {
+			entry.persisted.Store(false)
 		}
 		return
 	}
-	if m.cfg.Store.Put(store.KindPlan, store.PlanKey(digest, m.cfg.NPSD), snap) == nil {
-		entry.persisted = true
+	if m.cfg.Store.Put(store.KindPlan, store.PlanKey(digest, m.cfg.NPSD), snap) != nil {
+		entry.persisted.Store(false)
 	}
 }
 
@@ -994,7 +991,7 @@ func (m *Manager) graphFor(j *job) (*graphEntry, error) {
 			if err := m.eng.RestorePlan(g, &snap); err != nil {
 				m.cfg.Store.Delete(store.KindPlan, key)
 			} else {
-				e.persisted = true
+				e.persisted.Store(true)
 				restored = true
 			}
 		}

@@ -439,3 +439,66 @@ func TestJobHistoryEviction(t *testing.T) {
 		t.Fatalf("most recent job evicted: %v", err)
 	}
 }
+
+// TestSameDigestJobsSearchConcurrently: searches only read the cached
+// graph, so two jobs on one digest (different budgets, so neither
+// coalesces onto the other) must both be searching at once on a two-worker
+// pool — neither may reach a terminal state before the other has made a
+// search step — and both must still match a direct run bit for bit.
+func TestSameDigestJobsSearchConcurrently(t *testing.T) {
+	m := testManager(t, Config{Workers: 2, StepThrottle: 25 * time.Millisecond})
+	widths := []int{7, 8}
+	ids := make([]string, len(widths))
+	for i, w := range widths {
+		opts := testOptions("hybrid")
+		opts.BudgetWidth = w
+		info, err := m.Submit(Request{System: "dwt97(fig3)", Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = info.ID
+	}
+	for _, id := range ids {
+		waitRunningStep(t, m, id)
+	}
+	for _, id := range ids {
+		info, err := m.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.State.Terminal() {
+			t.Fatalf("a same-digest job finished before the other started searching: %s is %s", id, info.State)
+		}
+	}
+
+	g, err := systems.NewDWT().Graph(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewEngine(64, 1)
+	for i, id := range ids {
+		fin := waitDone(t, m, id)
+		if fin.State != JobDone {
+			t.Fatalf("%s: state %s, error %q", id, fin.State, fin.Error)
+		}
+		probe, err := eng.EvaluateAssignment(g, core.UniformAssignment(g.NoiseSources(), widths[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := wlopt.RunStrategy(g, "hybrid", wlopt.Options{
+			Budget: probe.Power, MinFrac: 4, MaxFrac: 10, Evaluator: eng, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fin.Result
+		if fin.Budget != probe.Power || got == nil || got.Power != want.Power || got.Cost != want.Cost ||
+			got.Evaluations != want.Evaluations || got.UniformFrac != want.UniformFrac ||
+			!reflect.DeepEqual(got.Fracs, want.Fracs) {
+			t.Fatalf("budget width %d: service result diverges from direct run:\n%+v\nvs\n%+v", widths[i], got, want)
+		}
+	}
+	if builds := m.Stats().PlanBuilds; builds != 1 {
+		t.Fatalf("plan builds %d, want 1 for one digest", builds)
+	}
+}

@@ -12,8 +12,8 @@ import (
 // FIR, one IIR single-filter workload), the paper's Fig. 2 and Fig. 3
 // systems, and the two multirate kernels. Sweep-style tooling (the
 // scenario suite, future workload generators) iterates this list so a new
-// system added here is picked up everywhere; instances are fresh per call
-// because System graphs are mutated by the optimizer.
+// system added here is picked up everywhere; instances are fresh per call,
+// so a caller may write widths into the graphs it builds from them.
 func Registry() ([]System, error) {
 	fir, err := filter.DesignFIR(filter.FIRSpec{
 		Band: filter.Lowpass, Taps: 31, F1: 0.2, Window: dsp.Hamming,

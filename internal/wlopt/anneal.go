@@ -92,9 +92,8 @@ func (annealStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 			moves = append(moves, core.Move{Source: id, Frac: a[id]})
 		}
 		// Each proposal is a single-source change off cur, so the round is
-		// scored through the oracle's move path (delta evaluation on
-		// move-capable evaluators); the materialized assignments are kept
-		// for the acceptance bookkeeping below.
+		// scored through the oracle's move path; the materialized
+		// assignments are kept for the acceptance bookkeeping below.
 		ps, err := o.PowersMoves(cur, moves)
 		if err != nil {
 			return nil, err
@@ -117,13 +116,12 @@ func (annealStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 		temp *= cooling
 	}
 
-	best.Apply(o.Graph())
-	final, err := o.EvaluateGraph()
+	final, err := o.Power(best)
 	if err != nil {
 		return nil, err
 	}
 	res.Power = final
-	o.fillFromGraph(res)
+	o.fillAssignment(res, best)
 	res.Evaluations = o.Evaluations()
 	return res, nil
 }

@@ -37,16 +37,15 @@ func (ascentStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cur.Apply(o.Graph())
 	// The climb searched on scalar move scores; report the final power in
 	// the canonical Result derivation (uncounted — no new decision made),
-	// so the result matches an independent Evaluate of the graph exactly.
-	final, err := o.ReportGraphPower()
+	// so the result matches an independent evaluation of cur exactly.
+	final, err := o.power(cur)
 	if err != nil {
 		return nil, err
 	}
 	res.Power = final
-	o.fillFromGraph(res)
+	o.fillAssignment(res, cur)
 
 	// Uniform baseline for comparison.
 	ufrac, err := UniformBaseline(o, opt)
@@ -60,12 +59,11 @@ func (ascentStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 
 // climb runs the greedy bit-addition loop from cur (whose power is the
 // second argument) until the budget is met, scoring every step's candidate
-// increments as one oracle round of Moves against the incumbent — the
-// delta path on move-capable evaluators. It returns the first feasible
-// assignment and its power. A cancelled run returns the incumbent even
-// though it is still over budget — the caller reports it with the
-// Cancelled flag. It is the core of the ascent strategy and the first
-// phase of the hybrid strategy.
+// increments as one oracle round of Moves against the incumbent. It
+// returns the first feasible assignment and its power. A cancelled run
+// returns the incumbent even though it is still over budget — the caller
+// reports it with the Cancelled flag. It is the core of the ascent
+// strategy and the first phase of the hybrid strategy.
 func climb(o *Oracle, opt Options, cur core.Assignment, power float64) (core.Assignment, float64, error) {
 	type cand struct {
 		id    sfg.NodeID
@@ -117,9 +115,8 @@ func climb(o *Oracle, opt Options, cur core.Assignment, power float64) (core.Ass
 }
 
 // OptimizeAscent runs the "ascent" strategy — the classical min-plus-one
-// search. The graph's source widths are left at the result. It is a thin
-// wrapper over RunStrategy, kept for the callers that predate the strategy
-// registry.
+// search. It is a thin wrapper over RunStrategy, kept for the callers that
+// predate the strategy registry.
 func OptimizeAscent(g *sfg.Graph, opt Options) (*Result, error) {
 	return RunStrategy(g, "ascent", opt)
 }

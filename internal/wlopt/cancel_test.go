@@ -5,46 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sfg"
 )
 
-// cancellingOracle wraps a move-capable evaluator and fires a
-// context.CancelFunc after a fixed number of oracle calls, so each strategy
-// can be interrupted at a deterministic point mid-search.
-type cancellingOracle struct {
-	eng    *core.Engine
-	cancel context.CancelFunc
-	after  int
-	calls  int
-}
-
-func (c *cancellingOracle) bump() {
-	c.calls++
-	if c.calls == c.after {
-		c.cancel()
-	}
-}
-
-func (c *cancellingOracle) Name() string { return "cancelling(" + c.eng.Name() + ")" }
-
-func (c *cancellingOracle) Evaluate(g *sfg.Graph) (*core.Result, error) {
-	c.bump()
-	return c.eng.Evaluate(g)
-}
-
-func (c *cancellingOracle) EvaluateBatch(g *sfg.Graph, as []core.Assignment) ([]*core.Result, error) {
-	c.bump()
-	return c.eng.EvaluateBatch(g, as)
-}
-
-func (c *cancellingOracle) EvaluateMoves(g *sfg.Graph, base core.Assignment, moves []core.Move) ([]*core.Result, error) {
-	c.bump()
-	return c.eng.EvaluateMoves(g, base, moves)
-}
-
-var _ core.MoveEvaluator = (*cancellingOracle)(nil)
-
-func cancelOptions(t *testing.T, ev core.Evaluator, ctx context.Context) Options {
+func cancelOptions(t *testing.T, ev *core.Engine, ctx context.Context) Options {
 	t.Helper()
 	return Options{
 		Budget:    1e-8,
@@ -56,8 +19,8 @@ func cancelOptions(t *testing.T, ev core.Evaluator, ctx context.Context) Options
 	}
 }
 
-// TestCancelMidSearchPerStrategy interrupts every registered strategy a few
-// oracle rounds in and checks the contract: no error, Cancelled set, a
+// TestCancelMidSearchPerStrategy interrupts every registered strategy two
+// search steps in and checks the contract: no error, Cancelled set, a
 // complete best-so-far assignment within bounds, and strictly fewer oracle
 // calls than the uncancelled run.
 func TestCancelMidSearchPerStrategy(t *testing.T) {
@@ -76,10 +39,15 @@ func TestCancelMidSearchPerStrategy(t *testing.T) {
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			// Let feasibility plus a few search rounds through, then cancel.
-			ev := &cancellingOracle{eng: core.NewEngine(128, 1), cancel: cancel, after: 4}
+			// Let feasibility plus two search steps through, then cancel.
+			opt := cancelOptions(t, core.NewEngine(128, 1), ctx)
+			opt.Progress = func(ev ProgressEvent) {
+				if ev.Step == 2 {
+					cancel()
+				}
+			}
 			g := buildTwoStage(t)
-			res, err := RunStrategy(g, name, cancelOptions(t, ev, ctx))
+			res, err := RunStrategy(g, name, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +66,9 @@ func TestCancelMidSearchPerStrategy(t *testing.T) {
 				t.Fatalf("cancelled run used %d oracle calls, full run %d — cancellation did not stop the search",
 					res.Evaluations, full.Evaluations)
 			}
-			// The reported power must still describe the mutated graph.
+			// The reported power must describe the best-so-far assignment
+			// once it is written into the graph.
+			applyFracs(t, g, res.Fracs)
 			check, err := core.NewPSDEvaluator(128).Evaluate(g)
 			if err != nil {
 				t.Fatal(err)

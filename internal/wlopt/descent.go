@@ -37,31 +37,30 @@ func (descentStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	cur.Apply(o.Graph())
-	final, err := o.EvaluateGraph()
+	final, err := o.Power(cur)
 	if err != nil {
 		return nil, err
 	}
 	res.Power = final
 	res.Evaluations = o.Evaluations()
-	o.fillFromGraph(res)
+	o.fillAssignment(res, cur)
 	return res, nil
 }
 
 // trim runs the greedy bit-removal loop from cur: every step scores all
 // feasible single-bit removals as one oracle round of Moves against the
-// incumbent — the scalar tier on capable evaluators — and takes the one
-// freeing the most cost, until no removal stays under the budget (or the
-// run is cancelled, in which case the incumbent is returned as is). It is
-// the whole of the descent strategy and the second phase of the hybrid
+// incumbent — the engine's scalar tier — and takes the one freeing the
+// most cost, until no removal stays under the budget (or the run is
+// cancelled, in which case the incumbent is returned as is). It is the
+// whole of the descent strategy and the second phase of the hybrid
 // strategy.
 //
 // Feasibility decisions compare scalar move scores against the budget;
-// the final reported power is the canonical graph evaluation, which
-// agrees with those scores within 1e-12 relative. A budget placed within
-// that sliver of an achievable power can therefore report marginally over
-// budget — callers needing a hard guarantee should pad the budget by a
-// part in 1e12.
+// the final reported power is the engine's canonical evaluation of the
+// assignment, which agrees with those scores within 1e-12 relative. A
+// budget placed within that sliver of an achievable power can therefore
+// report marginally over budget — callers needing a hard guarantee should
+// pad the budget by a part in 1e12.
 func trim(o *Oracle, opt Options, cur core.Assignment) (core.Assignment, error) {
 	type cand struct {
 		id    sfg.NodeID
@@ -118,9 +117,8 @@ func trim(o *Oracle, opt Options, cur core.Assignment) (core.Assignment, error) 
 }
 
 // Optimize runs the "descent" strategy — the greedy max-minus-one search.
-// The graph's source widths are left at the optimized assignment. It is a
-// thin wrapper over RunStrategy, kept for the callers that predate the
-// strategy registry.
+// It is a thin wrapper over RunStrategy, kept for the callers that predate
+// the strategy registry.
 func Optimize(g *sfg.Graph, opt Options) (*Result, error) {
 	return RunStrategy(g, "descent", opt)
 }

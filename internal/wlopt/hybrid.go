@@ -38,13 +38,12 @@ func (hybridStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	cur.Apply(o.Graph())
-	final, err := o.EvaluateGraph()
+	final, err := o.Power(cur)
 	if err != nil {
 		return nil, err
 	}
 	res.Power = final
-	o.fillFromGraph(res)
+	o.fillAssignment(res, cur)
 
 	ufrac, err := UniformBaseline(o, opt)
 	if err != nil {

@@ -6,31 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sfg"
 )
 
-// batchOnlyEvaluator hides core.Engine's move path, forcing the oracle's
-// materialize-assignments fallback. Strategies must behave identically —
-// same assignment, same power, same oracle-call count — whichever path
-// scores their candidate moves.
-type batchOnlyEvaluator struct {
-	eng *core.Engine
-}
-
-func (b batchOnlyEvaluator) Name() string { return b.eng.Name() }
-
-func (b batchOnlyEvaluator) Evaluate(g *sfg.Graph) (*core.Result, error) {
-	return b.eng.Evaluate(g)
-}
-
-func (b batchOnlyEvaluator) EvaluateBatch(g *sfg.Graph, as []core.Assignment) ([]*core.Result, error) {
-	return b.eng.EvaluateBatch(g, as)
-}
-
-// TestStrategiesMovePathEquivalence: every registered strategy run with the
-// move-capable engine equals the same run with the move path hidden —
-// bit-identical results and identical Result.Evaluations, pinning both the
-// delta evaluation and the oracle-call accounting of PowersMoves.
+// TestStrategiesMovePathEquivalence: every registered strategy run on the
+// default engine — scalar σ²-table move scores, transfer-cached final
+// evaluation — lands where the same run on the full-propagation reference
+// engine lands: identical assignment, cost, uniform baseline and
+// Result.Evaluations, and a power within the 1e-12 relative contract (the
+// cached tier reassociates the variance sum, so cross-tier powers are
+// close, not bitwise equal).
 func TestStrategiesMovePathEquivalence(t *testing.T) {
 	for _, name := range Strategies() {
 		for _, graph := range []string{"two-stage", "dwt"} {
@@ -40,75 +24,32 @@ func TestStrategiesMovePathEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %s via moves: %v", name, graph, err)
 			}
-			gb, opt2 := goldenGraph(t, graph)
+			gr, opt2 := goldenGraph(t, graph)
 			opt2.Seed = 5
-			opt2.Evaluator = batchOnlyEvaluator{eng: core.NewEngine(256, 1)}
-			viaBatch, err := RunStrategy(gb, name, opt2)
+			ref := core.NewEngine(256, 1)
+			ref.SetFullPropagation(true)
+			opt2.Evaluator = ref
+			viaRef, err := RunStrategy(gr, name, opt2)
 			if err != nil {
-				t.Fatalf("%s on %s via batch: %v", name, graph, err)
+				t.Fatalf("%s on %s via reference: %v", name, graph, err)
 			}
-			if !reflect.DeepEqual(viaMoves.Fracs, viaBatch.Fracs) {
-				t.Errorf("%s on %s: fracs diverge: moves %v, batch %v", name, graph, viaMoves.Fracs, viaBatch.Fracs)
+			if !reflect.DeepEqual(viaMoves.Fracs, viaRef.Fracs) {
+				t.Errorf("%s on %s: fracs diverge: moves %v, reference %v", name, graph, viaMoves.Fracs, viaRef.Fracs)
 			}
-			if viaMoves.Power != viaBatch.Power || viaMoves.Cost != viaBatch.Cost {
-				t.Errorf("%s on %s: power/cost diverge: %.17g/%g vs %.17g/%g",
-					name, graph, viaMoves.Power, viaMoves.Cost, viaBatch.Power, viaBatch.Cost)
+			if viaMoves.Cost != viaRef.Cost {
+				t.Errorf("%s on %s: cost diverges: %g vs %g", name, graph, viaMoves.Cost, viaRef.Cost)
 			}
-			if viaMoves.Evaluations != viaBatch.Evaluations {
-				t.Errorf("%s on %s: oracle-call accounting diverges: %d via moves, %d via batch",
-					name, graph, viaMoves.Evaluations, viaBatch.Evaluations)
+			if rel := math.Abs(viaMoves.Power-viaRef.Power) / math.Max(viaMoves.Power, viaRef.Power); rel > 1e-12 {
+				t.Errorf("%s on %s: power diverges beyond 1e-12: %.17g vs %.17g",
+					name, graph, viaMoves.Power, viaRef.Power)
 			}
-			if viaMoves.UniformFrac != viaBatch.UniformFrac || viaMoves.UniformCost != viaBatch.UniformCost {
+			if viaMoves.Evaluations != viaRef.Evaluations {
+				t.Errorf("%s on %s: oracle-call accounting diverges: %d via moves, %d via reference",
+					name, graph, viaMoves.Evaluations, viaRef.Evaluations)
+			}
+			if viaMoves.UniformFrac != viaRef.UniformFrac || viaMoves.UniformCost != viaRef.UniformCost {
 				t.Errorf("%s on %s: uniform baseline diverges", name, graph)
 			}
-		}
-	}
-}
-
-// TestPowersMovesAccounting: PowersMoves counts one oracle call per move on
-// both the scalar path and the fallback, and returns powers within the
-// 1e-12 relative contract (the scalar tier reassociates the variance sum,
-// so cross-path powers are close, not bitwise equal; decision equivalence
-// is pinned by TestStrategiesMovePathEquivalence).
-func TestPowersMovesAccounting(t *testing.T) {
-	g := buildTwoStage(t)
-	opt := Options{Budget: 1e-8, MinFrac: 4, MaxFrac: 24}
-	base := core.AssignmentOf(g)
-	var moves []core.Move
-	for _, id := range g.NoiseSources() {
-		moves = append(moves, core.Move{Source: id, Frac: base[id] - 1})
-	}
-
-	withMoves := newOracle(g, opt)
-	if withMoves.mover == nil {
-		t.Fatal("default engine should be move-capable")
-	}
-	p1, err := withMoves.PowersMoves(base, moves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withMoves.Evaluations() != len(moves) {
-		t.Fatalf("delta path counted %d calls, want %d", withMoves.Evaluations(), len(moves))
-	}
-
-	opt.Evaluator = batchOnlyEvaluator{eng: core.NewEngine(256, 1)}
-	fallback := newOracle(g, opt)
-	if fallback.mover != nil {
-		t.Fatal("batch-only wrapper leaked the move path")
-	}
-	p2, err := fallback.PowersMoves(base, moves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fallback.Evaluations() != len(moves) {
-		t.Fatalf("fallback counted %d calls, want %d", fallback.Evaluations(), len(moves))
-	}
-	if len(p1) != len(p2) {
-		t.Fatalf("move power counts diverge: %d vs %d", len(p1), len(p2))
-	}
-	for i := range p1 {
-		if rel := math.Abs(p1[i]-p2[i]) / math.Max(p1[i], p2[i]); rel > 1e-12 {
-			t.Fatalf("move %d powers diverge beyond 1e-12 across paths: scalar %g, fallback %g", i, p1[i], p2[i])
 		}
 	}
 }

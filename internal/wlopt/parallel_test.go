@@ -105,7 +105,9 @@ func TestOptimizeExplicitEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "explicit-engine", res, def)
-	// The engine still answers for the mutated graph.
+	// The engine still answers for the graph once the result's widths are
+	// written into it.
+	applyFracs(t, g, res.Fracs)
 	check, err := eng.Evaluate(g)
 	if err != nil {
 		t.Fatal(err)
@@ -113,21 +115,4 @@ func TestOptimizeExplicitEngine(t *testing.T) {
 	if check.Power != res.Power {
 		t.Fatalf("engine disagrees with result on final graph: %g vs %g", check.Power, res.Power)
 	}
-}
-
-// TestOptimizeSerialEvaluatorFallback: a plain (non-batch) evaluator takes
-// the mutate-evaluate-restore path and must land on the same assignment.
-func TestOptimizeSerialEvaluatorFallback(t *testing.T) {
-	plain, err := Optimize(buildTwoStage(t), Options{
-		Budget: 1e-8, MinFrac: 4, MaxFrac: 24,
-		Evaluator: core.NewPSDEvaluator(256),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := Optimize(buildTwoStage(t), Options{Budget: 1e-8, MinFrac: 4, MaxFrac: 24, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "serial-fallback", plain, batch)
 }

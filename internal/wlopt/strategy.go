@@ -13,7 +13,8 @@ import (
 // Strategy is a pluggable word-length search procedure. A strategy receives
 // the accuracy oracle and the validated options, explores assignments by
 // scoring them through the oracle (batch calls fan out across the worker
-// pool), and leaves the graph's source widths at its chosen assignment.
+// pool), and reports its chosen assignment in the Result. It must not
+// write widths into the graph: concurrent searches may share it.
 //
 // Implementations must be deterministic for a given (graph, Options) pair
 // at every Options.Workers value: randomized searches must draw all
@@ -68,8 +69,9 @@ func Strategies() []string {
 }
 
 // RunStrategy validates the options, builds the oracle, and runs the named
-// registered strategy on g. The graph's source widths are left at the
-// strategy's chosen assignment.
+// registered strategy on g. It is a pure function of (g, opt): g is only
+// read, so concurrent runs may share one graph. Callers wanting the
+// optimized widths in a graph write Result.Fracs into it by source name.
 func RunStrategy(g *sfg.Graph, name string, opt Options) (*Result, error) {
 	s, ok := Lookup(name)
 	if !ok {

@@ -5,9 +5,10 @@
 // evaluators from package core as its accuracy oracle. Because every search
 // procedure evaluates the system hundreds of times, the 3-5 orders of
 // magnitude between analytical estimation and Monte-Carlo simulation
-// (Fig. 6) is the difference between milliseconds and days — and because
-// the candidate moves of one search step are independent, they are scored
-// concurrently through core.BatchEvaluator when the oracle supports it.
+// (Fig. 6) is the difference between milliseconds and days. The oracle is
+// the plan-cached core.Engine: a search scores hypothetical assignments
+// against the graph and never writes widths into it, so any number of
+// searches may share one graph and one engine concurrently.
 //
 // The search procedures themselves are pluggable: each one implements
 // Strategy and registers itself under a stable name (see strategy.go).
@@ -35,15 +36,13 @@ type Options struct {
 	// means unit weight (cost = total fractional bits). Keys are source
 	// names.
 	CostPerBit map[string]float64
-	// Evaluator is the accuracy oracle; nil selects the proposed PSD
-	// method with 256 bins, plan-cached and batch-parallel (core.Engine).
-	Evaluator core.Evaluator
-	// Workers bounds the number of concurrent candidate evaluations per
-	// search step when the default engine is used; <= 0 selects
-	// runtime.GOMAXPROCS(0). The optimization result is identical for
-	// every Workers value — only wall-clock time changes. A caller-
-	// provided Evaluator manages its own parallelism (batch-capable
-	// evaluators are fanned out; plain evaluators run serially).
+	// Evaluator is the accuracy oracle; nil selects a fresh engine on 256
+	// bins. Sharing one engine across searches shares its plan cache.
+	Evaluator *core.Engine
+	// Workers sets the worker pool width of the fresh engine made when
+	// Evaluator is nil; <= 0 selects runtime.GOMAXPROCS(0). A caller-
+	// provided engine keeps its own pool width. The optimization result
+	// is identical for every pool width — only wall-clock time changes.
 	Workers int
 	// Seed seeds the randomized strategies ("anneal"); <= 0 selects 1.
 	// A fixed seed makes those strategies fully deterministic at any
@@ -118,18 +117,15 @@ type Result struct {
 }
 
 // Oracle is the strategy-facing view of the accuracy oracle: it scores
-// hypothetical width assignments against the graph under optimization,
-// fanning independent candidates across the evaluator's worker pool when
-// the evaluator is batch-capable, and counts every call. Strategies receive
-// an Oracle from RunStrategy and must route all scoring through it so
+// hypothetical width assignments against the graph under optimization
+// without writing them into it, fanning independent candidates across the
+// engine's worker pool, and counts every call. Strategies receive an Oracle
+// from RunStrategy and must route all scoring through it so
 // Result.Evaluations stays honest.
 type Oracle struct {
 	g           *sfg.Graph
 	sources     []sfg.NodeID
-	ev          core.Evaluator
-	batch       core.BatchEvaluator
-	mover       core.MoveEvaluator
-	scorer      core.MovePowerEvaluator
+	eng         *core.Engine
 	weight      func(string) float64
 	evaluations int
 
@@ -140,26 +136,16 @@ type Oracle struct {
 }
 
 func newOracle(g *sfg.Graph, opt Options) *Oracle {
-	ev := opt.Evaluator
-	if ev == nil {
-		ev = core.NewEngine(256, opt.Workers)
+	eng := opt.Evaluator
+	if eng == nil {
+		eng = core.NewEngine(256, opt.Workers)
 	}
 	ctx := opt.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := &Oracle{g: g, sources: g.NoiseSources(), ev: ev, weight: weightFn(opt),
+	return &Oracle{g: g, sources: g.NoiseSources(), eng: eng, weight: weightFn(opt),
 		ctx: ctx, progress: opt.Progress}
-	if b, ok := ev.(core.BatchEvaluator); ok {
-		o.batch = b
-	}
-	if m, ok := ev.(core.MoveEvaluator); ok {
-		o.mover = m
-	}
-	if s, ok := ev.(core.MovePowerEvaluator); ok {
-		o.scorer = s
-	}
-	return o
 }
 
 // Cancelled reports whether the run's context has been cancelled.
@@ -193,11 +179,6 @@ func (o *Oracle) StepDone(cost, power float64) {
 // Steps reports the number of completed search steps so far.
 func (o *Oracle) Steps() int { return o.steps }
 
-// Graph returns the graph under optimization. Strategies that mutate it
-// (core.Assignment.Apply) own the final state: the graph is left at
-// whatever assignment the strategy last applied.
-func (o *Oracle) Graph() *sfg.Graph { return o.g }
-
 // Sources lists the noise-source node IDs of the graph, in graph order.
 func (o *Oracle) Sources() []sfg.NodeID { return o.sources }
 
@@ -218,109 +199,47 @@ func (o *Oracle) Cost(a core.Assignment) float64 {
 // Evaluations reports the number of oracle calls so far.
 func (o *Oracle) Evaluations() int { return o.evaluations }
 
-// Powers scores assignments, in order; independent candidates fan out
-// across the evaluator's worker pool when it is batch-capable. The returned
-// powers are identical for every pool width.
+// Powers scores assignments, in order, fanning them across the engine's
+// worker pool. The returned powers are identical for every pool width.
 func (o *Oracle) Powers(as []core.Assignment) ([]float64, error) {
 	o.evaluations += len(as)
-	return o.powersOf(as)
-}
-
-// powersOf is Powers without the oracle-call accounting.
-func (o *Oracle) powersOf(as []core.Assignment) ([]float64, error) {
-	out := make([]float64, len(as))
-	if o.batch != nil {
-		rs, err := o.batch.EvaluateBatch(o.g, as)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range rs {
-			out[i] = r.Power
-		}
-		return out, nil
+	rs, err := o.eng.EvaluateBatch(o.g, as)
+	if err != nil {
+		return nil, err
 	}
-	saved := core.AssignmentOf(o.g)
-	defer saved.Apply(o.g)
-	for i, a := range as {
-		a.Apply(o.g)
-		r, err := o.ev.Evaluate(o.g)
-		if err != nil {
-			return nil, err
-		}
+	out := make([]float64, len(rs))
+	for i, r := range rs {
 		out[i] = r.Power
 	}
 	return out, nil
 }
 
 // PowersMoves scores single-source width changes applied independently to
-// base — the shape of every greedy search step. Each move counts as one
-// oracle call, exactly like scoring the equivalent full assignment through
-// Powers, so strategies switching between the paths keep identical
-// Result.Evaluations. Scalar-capable evaluators (core.Engine) score each
-// move as one σ²-table lookup plus a scalar leaf swap — O(1) per move, no
-// Result materialization; move-capable evaluators take the per-bin delta
-// path (whose Power fields are bit-identical to the scalar scores); other
-// evaluators fall back to materializing the moved assignments, agreeing
-// within the documented 1e-12 relative contract.
+// base — the shape of every greedy search step — as one σ²-table lookup
+// plus a scalar leaf swap per move (core.Engine.PowerMoves). Each move
+// counts as one oracle call, exactly like scoring the equivalent full
+// assignment through Powers, so Result.Evaluations does not depend on
+// which path a strategy scores through.
 func (o *Oracle) PowersMoves(base core.Assignment, moves []core.Move) ([]float64, error) {
 	o.evaluations += len(moves)
-	if o.scorer != nil {
-		return o.scorer.PowerMoves(o.g, base, moves)
-	}
-	if o.mover != nil {
-		rs, err := o.mover.EvaluateMoves(o.g, base, moves)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(rs))
-		for i, r := range rs {
-			out[i] = r.Power
-		}
-		return out, nil
-	}
-	as := make([]core.Assignment, len(moves))
-	for i, mv := range moves {
-		a := base.Clone()
-		a[mv.Source] = mv.Frac
-		as[i] = a
-	}
-	return o.powersOf(as)
+	return o.eng.PowerMoves(o.g, base, moves)
 }
 
-// Power scores one assignment.
+// Power scores one assignment in the engine's canonical Result
+// derivation — the one Engine.Evaluate uses — so a strategy's reported
+// power matches an independent evaluation of its assignment bit-for-bit.
 func (o *Oracle) Power(a core.Assignment) (float64, error) {
-	ps, err := o.Powers([]core.Assignment{a})
-	if err != nil {
-		return 0, err
-	}
-	return ps[0], nil
-}
-
-// EvaluateGraph scores the graph's current widths directly through the
-// underlying evaluator — used for the final reported power so that the
-// result always matches an independent Evaluate of the mutated graph.
-func (o *Oracle) EvaluateGraph() (float64, error) {
 	o.evaluations++
-	r, err := o.ev.Evaluate(o.g)
-	if err != nil {
-		return 0, err
-	}
-	return r.Power, nil
+	return o.power(a)
 }
 
-// ReportGraphPower is EvaluateGraph without the oracle-call accounting: it
-// re-derives the power of an assignment the search loop already scored,
-// in the evaluator's canonical Result derivation. Strategies that would
-// otherwise report a raw move score use it so the reported power always
-// matches an independent Evaluate of the mutated graph bit-for-bit — the
-// scalar move scores agree with that derivation within 1e-12 relative but
-// not bitwise — without inflating Result.Evaluations for a call that made
-// no search decision. Descent, hybrid and anneal keep their historical
-// *counted* EvaluateGraph for the same report: their final call predates
-// the scalar tier and is pinned by the oracle-call goldens, so switching
-// them would silently change every recorded Evaluations figure.
-func (o *Oracle) ReportGraphPower() (float64, error) {
-	r, err := o.ev.Evaluate(o.g)
+// power is Power without the oracle-call accounting. Ascent reports its
+// final power through it: the climb already scored that assignment, so
+// the report makes no search decision and must not inflate
+// Result.Evaluations. Descent, hybrid and anneal report through the
+// counted Power; the oracle-call goldens pin both accountings.
+func (o *Oracle) power(a core.Assignment) (float64, error) {
+	r, err := o.eng.EvaluateAssignment(o.g, a)
 	if err != nil {
 		return 0, err
 	}
@@ -341,13 +260,13 @@ func (o *Oracle) requireFeasible(opt Options) error {
 	return nil
 }
 
-// fillFromGraph records the graph's current source widths and their
-// weighted cost into res.
-func (o *Oracle) fillFromGraph(res *Result) {
+// fillAssignment records a's widths by source name and their weighted
+// cost into res.
+func (o *Oracle) fillAssignment(res *Result, a core.Assignment) {
 	for _, id := range o.sources {
-		n := o.g.Node(id)
-		res.Fracs[n.Noise.Name] = n.Noise.Frac
-		res.Cost += o.weight(n.Noise.Name) * float64(n.Noise.Frac)
+		name := o.g.Node(id).Noise.Name
+		res.Fracs[name] = a[id]
+		res.Cost += o.weight(name) * float64(a[id])
 	}
 }
 

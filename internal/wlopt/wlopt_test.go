@@ -38,6 +38,21 @@ func buildTwoStage(t *testing.T) *sfg.Graph {
 	return g
 }
 
+// applyFracs writes a result's widths into g's noise sources by name —
+// how a caller puts an optimized assignment into a graph, since the
+// search itself never writes it.
+func applyFracs(t *testing.T, g *sfg.Graph, fracs map[string]int) {
+	t.Helper()
+	for _, id := range g.NoiseSources() {
+		n := g.Node(id)
+		f, ok := fracs[n.Noise.Name]
+		if !ok {
+			t.Fatalf("result has no width for source %s", n.Noise.Name)
+		}
+		n.Noise.Frac = f
+	}
+}
+
 func TestOptimizeMeetsBudget(t *testing.T) {
 	g := buildTwoStage(t)
 	budget := 1e-8
@@ -51,7 +66,9 @@ func TestOptimizeMeetsBudget(t *testing.T) {
 	if len(res.Fracs) != 3 {
 		t.Fatalf("fracs %v", res.Fracs)
 	}
-	// The assignment must be verified by the oracle on the mutated graph.
+	// The assignment, written into the graph, must be verified by the
+	// oracle.
+	applyFracs(t, g, res.Fracs)
 	check, err := core.NewPSDEvaluator(256).Evaluate(g)
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +117,7 @@ func TestOptimizeResultValidatedBySimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	applyFracs(t, g, res.Fracs)
 	sim, err := fxsim.Run(g, fxsim.Config{Samples: 300000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +201,7 @@ func TestOptimizeAscentMeetsBudget(t *testing.T) {
 	if res.Power > budget {
 		t.Fatalf("ascent power %g exceeds budget %g", res.Power, budget)
 	}
+	applyFracs(t, g, res.Fracs)
 	check, err := core.NewPSDEvaluator(256).Evaluate(g)
 	if err != nil {
 		t.Fatal(err)
